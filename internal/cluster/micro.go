@@ -90,6 +90,23 @@ func (m *Micro) StdDev() float64 {
 	return math.Sqrt(total)
 }
 
+// stdDevAbout is StdDev given the centroid CentroidInto writes, which
+// saves re-dividing Sum and yields the identical value.
+func (m *Micro) stdDevAbout(mean vec.Vec) float64 {
+	if m.Count == 0 {
+		return 0
+	}
+	n := float64(m.Count)
+	var total float64
+	for d, mu := range mean {
+		v := m.Sum2[d]/n - mu*mu
+		if v > 0 {
+			total += v
+		}
+	}
+	return math.Sqrt(total)
+}
+
 // Absorb folds one observation at point p with the given weight into the
 // cluster.
 func (m *Micro) Absorb(p vec.Vec, weight float64) {
@@ -103,26 +120,6 @@ func (m *Micro) Absorb(p vec.Vec, weight float64) {
 		m.Sum[d] += p[d]
 		m.Sum2[d] += p[d] * p[d]
 	}
-}
-
-// dist2ToPoint returns the squared distance from the cluster centroid to
-// p without materializing the centroid — the allocation the old
-// Centroid().Dist2(p) call paid on every observation of the ingest hot
-// path. An empty cluster's centroid is the origin, matching Centroid.
-func (m *Micro) dist2ToPoint(p vec.Vec) float64 {
-	var s float64
-	if m.Count == 0 {
-		for d := range p {
-			s += p[d] * p[d]
-		}
-		return s
-	}
-	n := float64(m.Count)
-	for d := range p {
-		diff := m.Sum[d]/n - p[d]
-		s += diff * diff
-	}
-	return s
 }
 
 // centroidDist2 returns the squared distance between two clusters'
@@ -233,48 +230,76 @@ type Summarizer struct {
 	maxClusters int
 	dims        int
 	opts        summarizerOptions
-	clusters    []Micro
-	observed    int64
-	// spare is a free list of retired Micro buffers. Once the summarizer
-	// has been at capacity, every new cluster is preceded by a merge that
-	// retires one, so the steady-state ingest path never allocates.
-	spare []Micro
+	// clusters holds the live micro-clusters. Its backing holds one more
+	// slot than the budget (Observe opens the over-budget cluster before
+	// merging), and the slots past its length keep the buffers of
+	// retired clusters for reuse, so ingest never allocates.
+	clusters []Micro
+	// cent caches every cluster's centroid, dims values per cluster in
+	// cluster order, and rad its absorption radius: StdDev raised to the
+	// radius floor. An entry is refreshed only when its cluster changes,
+	// so the per-access scans read contiguous memory and divide nothing.
+	cent     []float64
+	rad      []float64
+	observed int64
 }
 
 // NewSummarizer returns a summarizer holding at most maxClusters
 // micro-clusters of the given dimensionality.
 func NewSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Summarizer, error) {
-	if maxClusters <= 0 {
-		return nil, fmt.Errorf("cluster: maxClusters must be positive, got %d", maxClusters)
+	if err := checkShape(maxClusters, dims); err != nil {
+		return nil, err
 	}
-	if dims <= 0 {
-		return nil, fmt.Errorf("cluster: dims must be positive, got %d", dims)
-	}
-	s := &Summarizer{
-		maxClusters: maxClusters,
-		dims:        dims,
-		// Capacity maxClusters+1: Observe appends the over-budget cluster
-		// before merging, so the slice never grows past that and append
-		// never reallocates.
-		clusters: make([]Micro, 0, maxClusters+1),
-		spare:    make([]Micro, 0, maxClusters+1),
-	}
-	for _, o := range opts {
-		o.apply(&s.opts)
-	}
-	if s.opts.radiusFloor < 0 {
-		return nil, fmt.Errorf("cluster: radius floor %v must be non-negative", s.opts.radiusFloor)
+	s := new(Summarizer)
+	if err := s.init(maxClusters, dims, make([]float64, arenaLen(maxClusters, dims)), opts); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Observe folds one client access at coordinate p with the given weight
-// into the summary, following §III-B: absorb into the nearest cluster if
-// the point is within its standard deviation, otherwise open a new
-// cluster and, if over capacity, merge the two closest clusters.
-func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
-	if p.Dim() != s.dims {
-		return fmt.Errorf("cluster: observation dims %d, summarizer dims %d", p.Dim(), s.dims)
+// checkShape rejects a summarizer shape that cannot hold a cluster.
+func checkShape(maxClusters, dims int) error {
+	if maxClusters <= 0 {
+		return fmt.Errorf("cluster: maxClusters must be positive, got %d", maxClusters)
+	}
+	if dims <= 0 {
+		return fmt.Errorf("cluster: dims must be positive, got %d", dims)
+	}
+	return nil
+}
+
+// arenaLen is the float storage a summarizer of the given shape owns:
+// for each of its maxClusters+1 cluster slots, Sum, Sum2, the cached
+// centroid and the cached radius.
+func arenaLen(maxClusters, dims int) int { return (maxClusters + 1) * (3*dims + 1) }
+
+// init sets up s, which checkShape has accepted, over an arena of
+// arenaLen floats.
+func (s *Summarizer) init(maxClusters, dims int, arena []float64, opts []SummarizerOption) error {
+	slots := maxClusters + 1
+	*s = Summarizer{maxClusters: maxClusters, dims: dims}
+	for _, o := range opts {
+		o.apply(&s.opts)
+	}
+	if s.opts.radiusFloor < 0 {
+		return fmt.Errorf("cluster: radius floor %v must be non-negative", s.opts.radiusFloor)
+	}
+	s.cent, arena = arena[:0:slots*dims], arena[slots*dims:]
+	s.rad, arena = arena[:0:slots], arena[slots:]
+	s.clusters = make([]Micro, slots)
+	for i := range s.clusters {
+		s.clusters[i] = Micro{Sum: arena[:dims:dims], Sum2: arena[dims : 2*dims : 2*dims]}
+		arena = arena[2*dims:]
+	}
+	s.clusters = s.clusters[:0]
+	return nil
+}
+
+// checkObservation applies Observe's input checks: the point's
+// dimensionality, finite coordinates and a non-negative weight.
+func checkObservation(p vec.Vec, weight float64, dims int) error {
+	if p.Dim() != dims {
+		return fmt.Errorf("cluster: observation dims %d, summarizer dims %d", p.Dim(), dims)
 	}
 	if !p.IsFinite() {
 		return fmt.Errorf("cluster: non-finite observation %v", p)
@@ -282,85 +307,211 @@ func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("cluster: negative weight %v", weight)
 	}
-	s.observed++
+	return nil
+}
 
-	if len(s.clusters) > 0 {
-		best, bestDist := s.nearest(p)
-		radius := s.clusters[best].StdDev()
-		if radius < s.opts.radiusFloor {
-			radius = s.opts.radiusFloor
-		}
-		if bestDist <= radius {
-			s.clusters[best].Absorb(p, weight)
-			return nil
-		}
+// checkAccess applies the batch form of the checks: client must index
+// pos, and its position and the weight must pass checkObservation.
+func checkAccess(client int, pos []vec.Vec, weight float64, dims int) error {
+	if client < 0 || client >= len(pos) {
+		return fmt.Errorf("cluster: client %d outside position table of %d", client, len(pos))
 	}
+	return checkObservation(pos[client], weight, dims)
+}
 
-	fresh := s.takeMicro()
-	fresh.Absorb(p, weight)
-	s.clusters = append(s.clusters, fresh)
-	if len(s.clusters) > s.maxClusters {
-		s.mergeClosestPair()
+// checkWeights rejects a weight slice that does not pair with clients;
+// nil means unit weights.
+func checkWeights(clients []int, weights []float64) error {
+	if weights != nil && len(weights) != len(clients) {
+		return fmt.Errorf("cluster: batch of %d clients with %d weights", len(clients), len(weights))
 	}
 	return nil
 }
 
-// takeMicro returns an empty micro-cluster, reusing a retired buffer when
-// one is available so the at-capacity ingest path is allocation-free.
-func (s *Summarizer) takeMicro() Micro {
-	if n := len(s.spare); n > 0 {
-		m := s.spare[n-1]
-		s.spare[n-1] = Micro{}
-		s.spare = s.spare[:n-1]
-		m.clear()
-		return m
+// checkBatch checks every access of a batch, so a batch with one bad
+// access can be rejected before any of it is folded.
+func checkBatch(clients []int, pos []vec.Vec, weights []float64, dims int) error {
+	if err := checkWeights(clients, weights); err != nil {
+		return err
 	}
-	return NewMicro(s.dims)
+	for i, c := range clients {
+		if err := checkAccess(c, pos, weightAt(weights, i), dims); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// retireMicro hands a micro-cluster's buffers back to the free list.
-func (s *Summarizer) retireMicro(m Micro) {
-	if m.Sum == nil {
-		return
+// weightAt returns access i's weight, 1 when weights is nil.
+func weightAt(weights []float64, i int) float64 {
+	if weights == nil {
+		return 1
 	}
-	s.spare = append(s.spare, m)
+	return weights[i]
 }
 
-// nearest returns the index of the cluster whose centroid is closest to p
-// and the distance to it. It computes centroid distances in place — the
-// arithmetic is identical to Centroid().Dist2(p), just without the
-// intermediate vector.
+// Observe folds one client access at coordinate p with the given weight
+// into the summary, following §III-B: absorb into the nearest cluster if
+// the point is within its standard deviation, otherwise open a new
+// cluster and, if over capacity, merge the two closest clusters.
+func (s *Summarizer) Observe(p vec.Vec, weight float64) error {
+	if err := checkObservation(p, weight, s.dims); err != nil {
+		return err
+	}
+	s.observe(p, weight)
+	return nil
+}
+
+// ObserveBatch folds a batch of accesses in order: clients[i] accessed
+// with weights[i] from position pos[clients[i]]; nil weights means unit
+// weight. Every access is checked first, so a batch with one bad access
+// folds nothing and returns the error.
+func (s *Summarizer) ObserveBatch(clients []int, pos []vec.Vec, weights []float64) error {
+	if err := checkBatch(clients, pos, weights, s.dims); err != nil {
+		return err
+	}
+	for i, c := range clients {
+		s.observe(pos[c], weightAt(weights, i))
+	}
+	return nil
+}
+
+// observe is Observe on an observation that passed checkObservation.
+func (s *Summarizer) observe(p vec.Vec, weight float64) {
+	s.observed++
+
+	if len(s.clusters) > 0 {
+		best, bestD2 := s.nearest(p)
+		if math.Sqrt(bestD2) <= s.rad[best] {
+			s.clusters[best].Absorb(p, weight)
+			s.refresh(best)
+			return
+		}
+	}
+
+	n := len(s.clusters)
+	s.clusters = s.clusters[:n+1]
+	s.clusters[n].clear()
+	s.clusters[n].Absorb(p, weight)
+	s.resizeCache()
+	s.refresh(n)
+	if len(s.clusters) > s.maxClusters {
+		s.mergeClosestPair()
+	}
+}
+
+// resizeCache matches the cache length to the cluster count. Entries a
+// shrink drops are discarded; the caller refreshes entries a grow adds.
+func (s *Summarizer) resizeCache() {
+	s.cent = s.cent[:len(s.clusters)*s.dims]
+	s.rad = s.rad[:len(s.clusters)]
+}
+
+// refresh recomputes cluster i's cached centroid and radius. The
+// arithmetic is CentroidInto's and StdDev's, so the cache holds exactly
+// the values deriving them afresh would give.
+func (s *Summarizer) refresh(i int) {
+	m := &s.clusters[i]
+	c := s.cent[i*s.dims : (i+1)*s.dims]
+	m.CentroidInto(c)
+	r := m.stdDevAbout(c)
+	if r < s.opts.radiusFloor {
+		r = s.opts.radiusFloor
+	}
+	s.rad[i] = r
+}
+
+// nearest returns the index of the cluster whose cached centroid is
+// closest to p and the squared distance to it, the first index winning
+// ties. Each squared distance is summed in dimension order, as
+// Centroid().Dist2(p) does.
 func (s *Summarizer) nearest(p vec.Vec) (int, float64) {
 	best, bestD2 := 0, math.Inf(1)
-	for i := range s.clusters {
-		d2 := s.clusters[i].dist2ToPoint(p)
+	cent := s.cent
+	if len(p) == 3 {
+		// The loop below, unrolled for 3-D coordinates (the default
+		// CoordDims); the sum keeps its left-to-right order, so both
+		// forms agree bit for bit. With
+		// only the general loop, stream-1m ingested ~15% fewer
+		// accesses per second (DESIGN.md §12).
+		x, y, z := p[0], p[1], p[2]
+		for i, c := 0, cent; len(c) >= 3; i, c = i+1, c[3:] {
+			dx, dy, dz := c[0]-x, c[1]-y, c[2]-z
+			if d2 := dx*dx + dy*dy + dz*dz; d2 < bestD2 {
+				best, bestD2 = i, d2
+			}
+		}
+		return best, bestD2
+	}
+	for i := range s.rad {
+		c := cent[i*len(p) : (i+1)*len(p)]
+		var d2 float64
+		for d, x := range p {
+			diff := c[d] - x
+			d2 += diff * diff
+		}
 		if d2 < bestD2 {
 			best, bestD2 = i, d2
 		}
 	}
-	return best, math.Sqrt(bestD2)
+	return best, bestD2
 }
 
-// mergeClosestPair merges the two clusters with the closest centroids,
-// retiring the vacated buffers to the free list.
+// mergeClosestPair merges the two clusters with the closest cached
+// centroids.
 func (s *Summarizer) mergeClosestPair() {
-	if len(s.clusters) < 2 {
+	n, dims, cent := len(s.clusters), s.dims, s.cent
+	if n < 2 {
 		return
 	}
-	bi, bj, bestD2 := 0, 1, math.Inf(1)
-	for i := 0; i < len(s.clusters); i++ {
-		for j := i + 1; j < len(s.clusters); j++ {
-			if d2 := centroidDist2(&s.clusters[i], &s.clusters[j]); d2 < bestD2 {
-				bi, bj, bestD2 = i, j, d2
+	bi, bj := s.closestPair()
+	absorbMicro(&s.clusters[bi], &s.clusters[bj])
+	// Swap-remove bj, retiring its buffers past the end and moving the
+	// last cluster's cache entry into its place.
+	last := n - 1
+	s.clusters[bj], s.clusters[last] = s.clusters[last], s.clusters[bj]
+	s.clusters = s.clusters[:last]
+	copy(cent[bj*dims:(bj+1)*dims], cent[last*dims:])
+	s.rad[bj] = s.rad[last]
+	s.resizeCache()
+	s.refresh(bi)
+}
+
+// closestPair returns the clusters i < j whose cached centroids are
+// closest, the first pair in (i, j) order winning ties. Like nearest,
+// it sums each squared distance in dimension order, as centroidDist2
+// does.
+func (s *Summarizer) closestPair() (int, int) {
+	n, dims, cent := len(s.rad), s.dims, s.cent
+	bi, bj, best := 0, 1, math.Inf(1)
+	if dims == 3 {
+		// Unrolled as in nearest.
+		for i := 0; i+1 < n; i++ {
+			x, y, z := cent[3*i], cent[3*i+1], cent[3*i+2]
+			for j, c := i+1, cent[3*(i+1):]; len(c) >= 3; j, c = j+1, c[3:] {
+				dx, dy, dz := x-c[0], y-c[1], z-c[2]
+				if d2 := dx*dx + dy*dy + dz*dz; d2 < best {
+					bi, bj, best = i, j, d2
+				}
+			}
+		}
+		return bi, bj
+	}
+	for i := 0; i < n; i++ {
+		ci := cent[i*dims : (i+1)*dims]
+		for j := i + 1; j < n; j++ {
+			cj := cent[j*dims : (j+1)*dims]
+			var d2 float64
+			for d, x := range ci {
+				diff := x - cj[d]
+				d2 += diff * diff
+			}
+			if d2 < best {
+				bi, bj, best = i, j, d2
 			}
 		}
 	}
-	absorbMicro(&s.clusters[bi], &s.clusters[bj])
-	s.retireMicro(s.clusters[bj])
-	last := len(s.clusters) - 1
-	s.clusters[bj] = s.clusters[last]
-	s.clusters[last] = Micro{}
-	s.clusters = s.clusters[:last]
+	return bi, bj
 }
 
 // Clusters returns an independent copy of the current micro-clusters.
@@ -411,12 +562,11 @@ func (s *Summarizer) Decay(factor float64) error {
 	if factor <= 0 || factor > 1 {
 		return fmt.Errorf("cluster: decay factor %v out of (0,1]", factor)
 	}
-	kept := s.clusters[:0]
+	kept := 0
 	for i := range s.clusters {
 		c := &s.clusters[i]
 		newCount := int64(math.Round(float64(c.Count) * factor))
 		if newCount <= 0 {
-			s.retireMicro(*c)
 			continue
 		}
 		// Scale Sum/Sum2 by the realized count ratio, not the nominal
@@ -427,24 +577,24 @@ func (s *Summarizer) Decay(factor float64) error {
 		c.Weight *= factor
 		c.Sum.ScaleInPlace(ratio)
 		c.Sum2.ScaleInPlace(ratio)
-		kept = append(kept, *c)
+		// Swap rather than copy, so dropped clusters' buffers end up
+		// past the new length for reuse; kept ones keep their order.
+		s.clusters[kept], s.clusters[i] = s.clusters[i], s.clusters[kept]
+		kept++
 	}
-	// Zero the trimmed tail so retired buffers are only reachable via the
-	// free list.
-	for i := len(kept); i < len(s.clusters); i++ {
-		s.clusters[i] = Micro{}
+	s.clusters = s.clusters[:kept]
+	// Scaling can move a centroid by an ulp, so every entry is rederived.
+	s.resizeCache()
+	for i := range s.clusters {
+		s.refresh(i)
 	}
-	s.clusters = kept
 	return nil
 }
 
-// Reset discards all state, keeping the configuration. Cluster buffers
-// are retained on the free list for reuse.
+// Reset discards all state, keeping the configuration and the cluster
+// buffers.
 func (s *Summarizer) Reset() {
-	for i := range s.clusters {
-		s.retireMicro(s.clusters[i])
-		s.clusters[i] = Micro{}
-	}
 	s.clusters = s.clusters[:0]
+	s.resizeCache()
 	s.observed = 0
 }

@@ -410,3 +410,235 @@ func TestQuickMergePreservesMoments(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refSummarizer is the summarizer as it stood before it cached centroids
+// and radii: every access rederives each cluster's centroid from
+// Sum/Count and the nearest one's deviation. It is the reference the
+// cached kernel must match bit for bit.
+type refSummarizer struct {
+	maxClusters, dims int
+	radiusFloor       float64
+	clusters          []Micro
+}
+
+// refDist2ToPoint is the squared centroid-to-point distance computed
+// without a centroid vector, as the uncached kernel did.
+func refDist2ToPoint(m *Micro, p vec.Vec) float64 {
+	var s float64
+	if m.Count == 0 {
+		for d := range p {
+			s += p[d] * p[d]
+		}
+		return s
+	}
+	n := float64(m.Count)
+	for d := range p {
+		diff := m.Sum[d]/n - p[d]
+		s += diff * diff
+	}
+	return s
+}
+
+// refCentroidDist2 is the squared centroid-to-centroid distance the
+// uncached merge scan computed.
+func refCentroidDist2(a, b *Micro) float64 {
+	na, nb := float64(a.Count), float64(b.Count)
+	var s float64
+	for d := range a.Sum {
+		var ca, cb float64
+		if a.Count != 0 {
+			ca = a.Sum[d] / na
+		}
+		if b.Count != 0 {
+			cb = b.Sum[d] / nb
+		}
+		diff := ca - cb
+		s += diff * diff
+	}
+	return s
+}
+
+func (r *refSummarizer) observe(p vec.Vec, weight float64) {
+	if len(r.clusters) > 0 {
+		best, bestD2 := 0, math.Inf(1)
+		for i := range r.clusters {
+			if d2 := refDist2ToPoint(&r.clusters[i], p); d2 < bestD2 {
+				best, bestD2 = i, d2
+			}
+		}
+		radius := r.clusters[best].StdDev()
+		if radius < r.radiusFloor {
+			radius = r.radiusFloor
+		}
+		if math.Sqrt(bestD2) <= radius {
+			r.clusters[best].Absorb(p, weight)
+			return
+		}
+	}
+	fresh := NewMicro(r.dims)
+	fresh.Absorb(p, weight)
+	r.clusters = append(r.clusters, fresh)
+	if len(r.clusters) <= r.maxClusters {
+		return
+	}
+	bi, bj, bestD2 := 0, 1, math.Inf(1)
+	for i := 0; i < len(r.clusters); i++ {
+		for j := i + 1; j < len(r.clusters); j++ {
+			if d2 := refCentroidDist2(&r.clusters[i], &r.clusters[j]); d2 < bestD2 {
+				bi, bj, bestD2 = i, j, d2
+			}
+		}
+	}
+	absorbMicro(&r.clusters[bi], &r.clusters[bj])
+	last := len(r.clusters) - 1
+	r.clusters[bj] = r.clusters[last]
+	r.clusters = r.clusters[:last]
+}
+
+func (r *refSummarizer) decay(factor float64) {
+	kept := r.clusters[:0]
+	for i := range r.clusters {
+		c := r.clusters[i]
+		newCount := int64(math.Round(float64(c.Count) * factor))
+		if newCount <= 0 {
+			continue
+		}
+		ratio := float64(newCount) / float64(c.Count)
+		c.Count = newCount
+		c.Weight *= factor
+		c.Sum.ScaleInPlace(ratio)
+		c.Sum2.ScaleInPlace(ratio)
+		kept = append(kept, c)
+	}
+	r.clusters = kept
+}
+
+// sameMicrosBits reports whether two summaries are identical down to
+// the bit patterns of every float.
+func sameMicrosBits(a, b []Micro) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a {
+		if a[i].Count != b[i].Count || !same(a[i].Weight, b[i].Weight) ||
+			len(a[i].Sum) != len(b[i].Sum) || len(a[i].Sum2) != len(b[i].Sum2) {
+			return false
+		}
+		for d := range a[i].Sum {
+			if !same(a[i].Sum[d], b[i].Sum[d]) || !same(a[i].Sum2[d], b[i].Sum2[d]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuickSummarizerMatchesReference is the contract of the centroid
+// and radius cache: over random streams mixing exact duplicates, Decay,
+// Reset and a radius floor, the summary stays bit-identical to the
+// uncached reference at every budget and dimensionality.
+func TestQuickSummarizerMatchesReference(t *testing.T) {
+	for _, m := range []int{1, 2, 8, 16} {
+		for _, dims := range []int{1, 2, 3, 5} {
+			prop := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				floor := 0.0
+				if r.Intn(2) == 0 {
+					floor = r.Float64() * 4
+				}
+				s, err := NewSummarizer(m, dims, WithRadiusFloor(floor))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := &refSummarizer{maxClusters: m, dims: dims, radiusFloor: floor}
+				// A few fixed sites make exact duplicates common, as
+				// node-positioned clients are.
+				sites := make([]vec.Vec, 1+r.Intn(6))
+				for i := range sites {
+					sites[i] = randomPoint(r, dims)
+				}
+				for op := 0; op < 400; op++ {
+					switch k := r.Intn(100); {
+					case k < 2:
+						s.Reset()
+						ref.clusters = ref.clusters[:0]
+					case k < 6:
+						f := 0.05 + 0.95*r.Float64()
+						if err := s.Decay(f); err != nil {
+							t.Fatal(err)
+						}
+						ref.decay(f)
+					default:
+						p := randomPoint(r, dims)
+						if k < 60 {
+							p = sites[r.Intn(len(sites))].Clone()
+						}
+						w := r.Float64() * 3
+						if err := s.Observe(p, w); err != nil {
+							t.Fatal(err)
+						}
+						ref.observe(p, w)
+					}
+					if op%50 == 49 && !sameMicrosBits(s.Clusters(), ref.clusters) {
+						t.Logf("m=%d dims=%d seed=%d: diverged by op %d", m, dims, seed, op)
+						return false
+					}
+				}
+				return sameMicrosBits(s.Clusters(), ref.clusters)
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+				t.Fatalf("m=%d dims=%d: %v", m, dims, err)
+			}
+		}
+	}
+}
+
+func randomPoint(r *rand.Rand, dims int) vec.Vec {
+	p := vec.New(dims)
+	for d := range p {
+		p[d] = r.NormFloat64() * 40
+	}
+	return p
+}
+
+// BenchmarkSummarizerObserve times the ingest kernel on a stream of
+// node-positioned clients (exact duplicates of 100 sites in 5 regions,
+// Zipf-skewed, budget 8, 3-D coordinates), next to the uncached reference kernel.
+func BenchmarkSummarizerObserve(b *testing.B) {
+	const m, dims = 8, 3
+	r := rand.New(rand.NewSource(1))
+	regions := make([]vec.Vec, 5)
+	for i := range regions {
+		regions[i] = randomPoint(r, dims)
+	}
+	sites := make([]vec.Vec, 100)
+	for i := range sites {
+		sites[i] = regions[i%len(regions)].Add(randomPoint(r, dims).Scale(0.1))
+	}
+	// Zipf-skewed site popularity, as a few busy nodes dominate real
+	// access streams.
+	zipf := rand.NewZipf(r, 1.2, 1, uint64(len(sites)-1))
+	stream := make([]vec.Vec, 4096)
+	for i := range stream {
+		stream[i] = sites[zipf.Uint64()]
+	}
+	b.Run("cached", func(b *testing.B) {
+		s, err := NewSummarizer(m, dims)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.Observe(stream[i%len(stream)], 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		ref := &refSummarizer{maxClusters: m, dims: dims}
+		for i := 0; i < b.N; i++ {
+			ref.observe(stream[i%len(stream)], 1)
+		}
+	})
+}

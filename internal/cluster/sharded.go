@@ -3,17 +3,23 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/georep/georep/internal/vec"
 )
 
 // Sharded partitions micro-cluster maintenance across a power-of-two
 // number of independently locked shards, keyed by client hash. Each shard
-// owns a full-budget Summarizer, so concurrent writers touching different
-// shards never contend, and the ingest hot path stays allocation-free.
-// The shards are reconciled only at epoch summary time, when Summary
-// merges all per-shard clusters down to the configured budget.
+// owns a full-budget Summarizer, and the ingest hot path stays
+// allocation-free. Concurrent Observe calls on different shards never
+// contend. ObserveBatch calls do not scale with their callers: they take
+// turns on one partition scratch, and a batch's parallelism comes only
+// from fanning its shards out across cores, which batches under 512
+// accesses never do. The shards are reconciled only at epoch summary
+// time, when Summary merges all per-shard clusters down to the
+// configured budget.
 //
 // The merge is lossless in the additive features: total Count, Weight,
 // and coordinate Sum (hence the global weighted centroid) are exactly
@@ -24,14 +30,38 @@ type Sharded struct {
 	mask        uint32
 	maxClusters int
 	dims        int
+	// batchMu serializes ObserveBatch calls over the partition scratch
+	// in batch.
+	batchMu sync.Mutex
+	batch   shardBatch
 }
 
-// ingestShard pads each shard's lock and summarizer pointer onto its own
-// cache line so concurrent writers on neighboring shards do not false-share.
+// ingestShard pads each shard's lock and summarizer apart from its
+// neighbours' so goroutines ingesting into neighbouring shards do not
+// false-share cache lines.
 type ingestShard struct {
 	mu  sync.Mutex
-	sum *Summarizer
+	sum Summarizer
 	_   [64]byte
+}
+
+// shardBatch is one ObserveBatch call's accesses partitioned by shard:
+// shard i owns order[bounds[i]:bounds[i+1]], indices into the batch in
+// batch order. The caller and any fan-out workers claim shards through
+// next, so each shard is drained by exactly one goroutine, in batch
+// order, whichever goroutine that is. The scratch lives on the Sharded
+// and is reused by every call, which keeps the parallel path free of
+// allocations.
+type shardBatch struct {
+	shards  []ingestShard
+	dims    int
+	clients []int
+	pos     []vec.Vec
+	weights []float64
+	order   []int
+	bounds  []int
+	next    atomic.Int64
+	done    sync.WaitGroup
 }
 
 // NewSharded returns a sharded micro-cluster set with the given
@@ -42,19 +72,29 @@ func NewSharded(shards, maxClusters, dims int, opts ...SummarizerOption) (*Shard
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("cluster: shard count %d must be a positive power of two", shards)
 	}
+	if err := checkShape(maxClusters, dims); err != nil {
+		return nil, err
+	}
 	s := &Sharded{
 		shards:      make([]ingestShard, shards),
 		mask:        uint32(shards - 1),
 		maxClusters: maxClusters,
 		dims:        dims,
 	}
+	// One arena backs every shard's summarizer, with a cache line of
+	// floats before, between and after them, so no two shards' ingest
+	// state shares a line either.
+	const gap = 8
+	n := arenaLen(maxClusters, dims)
+	arena := make([]float64, gap+shards*(n+gap))
 	for i := range s.shards {
-		sum, err := NewSummarizer(maxClusters, dims, opts...)
-		if err != nil {
+		lo := gap + i*(n+gap)
+		if err := s.shards[i].sum.init(maxClusters, dims, arena[lo:lo+n:lo+n], opts); err != nil {
 			return nil, err
 		}
-		s.shards[i].sum = sum
 	}
+	s.batch.shards, s.batch.dims = s.shards, dims
+	s.batch.bounds = make([]int, shards+1)
 	return s, nil
 }
 
@@ -80,39 +120,155 @@ func (s *Sharded) Observe(client int, p vec.Vec, weight float64) error {
 
 // ObserveBatch folds a batch of accesses into their shards: clients[i]
 // accessed with weights[i] from position pos[clients[i]]. A nil weights
-// slice means unit weight per access. Each shard is locked exactly once
-// per batch and the batch is scanned per shard, so the call allocates
-// nothing and is safe for concurrent use with other writers and with
-// Summary/Decay/Reset.
+// slice means unit weight per access. Every access is checked before
+// any shard is touched, so a batch with one bad access folds nothing
+// and returns the error.
+//
+// One pass buckets the batch by shard; each shard is then locked once
+// and fed its accesses in batch order. Large batches are drained by the
+// caller together with idle workers of a package-level pool (see
+// fanOutHelpers), a shard to a goroutine at a time, so the summary is
+// the same at any GOMAXPROCS. The call allocates nothing in steady
+// state and is safe for concurrent use with other writers and with
+// Summary/Decay/Reset, but concurrent ObserveBatch calls are serialized
+// whole, one batch at a time.
 func (s *Sharded) ObserveBatch(clients []int, pos []vec.Vec, weights []float64) error {
-	if weights != nil && len(weights) != len(clients) {
-		return fmt.Errorf("cluster: batch of %d clients with %d weights", len(clients), len(weights))
+	if err := checkWeights(clients, weights); err != nil {
+		return err
 	}
-	var firstErr error
-	for si := range s.shards {
-		sh := &s.shards[si]
+	s.batchMu.Lock()
+	defer s.batchMu.Unlock()
+	b := &s.batch
+	if err := b.partition(s, clients, pos, weights); err != nil {
+		return err
+	}
+	b.clients, b.pos, b.weights = clients, pos, weights
+	b.next.Store(0)
+	for n := fanOutHelpers(len(clients), len(s.shards)); n > 0; n-- {
+		b.done.Add(1)
+		select {
+		case fanOutJobs <- b:
+			continue
+		default:
+		}
+		b.done.Done() // the queue is full: the caller carries on alone
+		break
+	}
+	b.drain()
+	b.done.Wait()
+	// Drop the caller's slices so the scratch does not pin them.
+	b.clients, b.pos, b.weights = nil, nil, nil
+	return nil
+}
+
+// partition checks every access of the batch and buckets the batch by
+// shard with a counting sort: count per shard, turn the counts into
+// bucket ends, then place indices from the back, which leaves each
+// bucket in batch order and bounds[i] at bucket i's start.
+func (b *shardBatch) partition(s *Sharded, clients []int, pos []vec.Vec, weights []float64) error {
+	bounds := b.bounds
+	clear(bounds)
+	for i, c := range clients {
+		if err := checkAccess(c, pos, weightAt(weights, i), b.dims); err != nil {
+			return err
+		}
+		bounds[s.ShardOf(c)]++
+	}
+	for i := 1; i < len(bounds); i++ {
+		bounds[i] += bounds[i-1]
+	}
+	if cap(b.order) < len(clients) {
+		b.order = make([]int, len(clients))
+	}
+	order := b.order[:len(clients)]
+	for i := len(clients) - 1; i >= 0; i-- {
+		sh := s.ShardOf(clients[i])
+		bounds[sh]--
+		order[bounds[sh]] = i
+	}
+	return nil
+}
+
+// drain claims unclaimed shards and folds each one's accesses under its
+// lock until every shard is claimed.
+func (b *shardBatch) drain() {
+	for {
+		i := int(b.next.Add(1) - 1)
+		if i >= len(b.shards) {
+			return
+		}
+		lo, hi := b.bounds[i], b.bounds[i+1]
+		if lo == hi {
+			continue
+		}
+		sh := &b.shards[i]
 		sh.mu.Lock()
-		for i, c := range clients {
-			if s.ShardOf(c) != si {
-				continue
-			}
-			if c < 0 || c >= len(pos) {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: client %d outside position table of %d", c, len(pos))
-				}
-				continue
-			}
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
-			if err := sh.sum.Observe(pos[c], w); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		for _, k := range b.order[lo:hi] {
+			sh.sum.observe(b.pos[b.clients[k]], weightAt(b.weights, k))
 		}
 		sh.mu.Unlock()
 	}
-	return firstErr
+}
+
+// fanOutGrain is the fewest accesses worth handing one more goroutine:
+// waking a parked worker costs microseconds, which a few hundred
+// accesses at ~100 ns each repay.
+const fanOutGrain = 256
+
+// fanOutHelpers returns how many pool workers should help drain a batch
+// of n accesses over the given shard count: one goroutine per fanOutGrain
+// accesses, at most one per shard and one per GOMAXPROCS, the caller
+// counting as the first. It starts pool workers up to that number.
+func fanOutHelpers(n, shards int) int {
+	helpers := min(runtime.GOMAXPROCS(0), shards, n/fanOutGrain) - 1
+	if helpers <= 0 {
+		return 0
+	}
+	if int(fanOutWorkers.Load()) < helpers {
+		fanOutMu.Lock()
+		for int(fanOutWorkers.Load()) < helpers {
+			go fanOutWorker()
+			fanOutWorkers.Add(1)
+		}
+		fanOutMu.Unlock()
+	}
+	return helpers
+}
+
+// The fan-out pool. Workers live for the life of the process and take
+// batches from fanOutJobs. A batch is queued once per helper it wants,
+// and its caller drains shards meanwhile, so a helper that arrives late
+// finds fewer shards, or none, and just signs off. The queue holds the
+// helpers of several concurrent batches; when it is full the caller
+// drains the rest itself. The pool only grows, up to the largest helper
+// count a batch has asked for.
+var (
+	fanOutJobs    = make(chan *shardBatch, 64)
+	fanOutMu      sync.Mutex
+	fanOutWorkers atomic.Int32
+)
+
+// fanOutSpins is how many times an idle worker polls for the next batch,
+// yielding its processor between polls, before it parks. Ingest batches
+// tend to arrive back to back, and a worker woken from parking starts
+// tens of microseconds late — most of a batch's drain.
+const fanOutSpins = 2000
+
+func fanOutWorker() {
+	for b := range fanOutJobs {
+		b.drain()
+		b.done.Done()
+		for spin := 0; spin < fanOutSpins; spin++ {
+			select {
+			case b = <-fanOutJobs:
+				b.drain()
+				b.done.Done()
+				spin = 0
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
 }
 
 // Summary returns the merged micro-cluster summary across all shards,

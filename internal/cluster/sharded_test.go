@@ -3,7 +3,9 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -212,23 +214,30 @@ func TestNewShardedRejectsBadCounts(t *testing.T) {
 // TestShardedConcurrentStress hammers ObserveBatch from several
 // goroutines while another cycles Summary/Decay/Reset. Run under -race
 // this proves the locking discipline; the final summary must still
-// respect the budget and carry finite mass.
+// respect the budget and carry finite mass. The second round's batches
+// are large enough to fan out, so callers also share the worker pool
+// and the partition scratch.
 func TestShardedConcurrentStress(t *testing.T) {
+	stressSharded(t, 128)
+	withProcs(max(runtime.GOMAXPROCS(0), 4), func() { stressSharded(t, 2*fanOutGrain) })
+}
+
+func stressSharded(t *testing.T, perWriter int) {
 	const dims, budget, writers = 3, 8, 4
 	sh, err := NewSharded(8, budget, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, pos, ws := genAccesses(42, 200, 512, dims)
+	ids, pos, ws := genAccesses(42, 200, writers*perWriter, dims)
 
 	var wg sync.WaitGroup
+	var batches atomic.Int64
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo := w * len(ids) / writers
-			hi := (w + 1) * len(ids) / writers
+			lo, hi := w*perWriter, (w+1)*perWriter
 			for {
 				select {
 				case <-stop:
@@ -239,10 +248,12 @@ func TestShardedConcurrentStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				batches.Add(1)
 			}
 		}(w)
 	}
-	for i := 0; i < 50; i++ {
+	// Keep the maintenance going until the writers have overlapped it.
+	for i := 0; (i < 50 || batches.Load() < 50) && !t.Failed(); i++ {
 		if sum := sh.Summary(); len(sum) > budget {
 			t.Errorf("summary has %d clusters, budget %d", len(sum), budget)
 			break
@@ -305,7 +316,9 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 }
 
 // TestShardedObserveBatchAllocs proves the batched sharded path is also
-// allocation-free in steady state.
+// allocation-free in steady state: serially, and fanned out to pool
+// workers, which AllocsPerRun cannot reach because it pins GOMAXPROCS
+// to 1. Under -race too.
 func TestShardedObserveBatchAllocs(t *testing.T) {
 	const dims, budget = 3, 8
 	sh, err := NewSharded(4, budget, dims)
@@ -325,5 +338,130 @@ func TestShardedObserveBatchAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state ObserveBatch allocates %.1f/op, want 0", allocs)
+	}
+
+	const calls = 200
+	ids, pos, ws = genAccesses(9, 500, 4*fanOutGrain, dims)
+	withProcs(4, func() {
+		if fanOutHelpers(len(ids), sh.Shards()) == 0 {
+			t.Fatal("batch does not fan out")
+		}
+		for i := 0; i < 8; i++ {
+			if err := sh.ObserveBatch(ids, pos, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := sh.ObserveBatch(ids, pos, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Whole allocations per call, as AllocsPerRun counts them.
+		if per := (after.Mallocs - before.Mallocs) / calls; per > 0 {
+			t.Fatalf("fanned-out ObserveBatch allocates %d/op, want 0", per)
+		}
+	})
+}
+
+// BenchmarkShardedObserveBatch times batched sharded ingest at a
+// stream-like shape: 1024-access batches from 2000 clients on 100 sites
+// over 8 shards. Run with -cpu 1,2,... to see the fan-out.
+func BenchmarkShardedObserveBatch(b *testing.B) {
+	const dims, budget, shards, batch = 3, 8, 8, 1024
+	ids, pos, ws := genAccesses(3, 2000, 64*batch, dims)
+	sh, err := NewSharded(shards, budget, dims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i % 64) * batch
+		if err := sh.ObserveBatch(ids[lo:lo+batch], pos, ws[lo:lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/access")
+}
+
+// withProcs runs f at the given GOMAXPROCS, restoring it afterwards.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// fanOutStream is six batches' worth of seeded accesses in which a
+// third of the clients share 5 sites, so exact duplicates are common.
+func fanOutStream(batch int) ([]int, []vec.Vec, []float64) {
+	ids, pos, ws := genAccesses(17, 300, 6*batch, 3)
+	for c := range pos {
+		if c%3 == 0 {
+			pos[c] = pos[c%15]
+		}
+	}
+	return ids, pos, ws
+}
+
+// shardedRun folds fanOutStream into a fresh 8-shard set in batches of
+// the given size, decaying halfway, and returns its summary.
+func shardedRun(t *testing.T, batch int) []Micro {
+	t.Helper()
+	ids, pos, ws := fanOutStream(batch)
+	sh, err := NewSharded(8, 8, 3, WithRadiusFloor(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(ids); lo += batch {
+		if lo == 3*batch {
+			if err := sh.Decay(0.7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sh.ObserveBatch(ids[lo:lo+batch], pos, ws[lo:lo+batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sh.Summary()
+}
+
+// TestShardedFanOutMatchesSerial is the fan-out's contract: whether a
+// batch is drained by the caller alone or together with pool workers,
+// every shard sees its accesses in batch order, so the summary is
+// bit-identical at any GOMAXPROCS, on both sides of the fan-out
+// threshold. The serial reference folds each access through the
+// one-access Observe.
+func TestShardedFanOutMatchesSerial(t *testing.T) {
+	for _, batch := range []int{fanOutGrain - 1, 2 * fanOutGrain, 8*fanOutGrain + 37} {
+		ids, pos, ws := fanOutStream(batch)
+		ref, err := NewSharded(8, 8, 3, WithRadiusFloor(0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range ids {
+			if i == 3*batch {
+				if err := ref.Decay(0.7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ref.Observe(c, pos[c], ws[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := ref.Summary()
+		for _, procs := range []int{1, 2, 8} {
+			withProcs(procs, func() {
+				fanned := fanOutHelpers(batch, 8) > 0
+				if want := procs > 1 && batch >= 2*fanOutGrain; fanned != want {
+					t.Fatalf("procs=%d batch=%d: fan-out %v, want %v", procs, batch, fanned, want)
+				}
+				if got := shardedRun(t, batch); !sameMicrosBits(got, want) {
+					t.Fatalf("procs=%d batch=%d (fan-out %v): summary differs from serial fold", procs, batch, fanned)
+				}
+			})
+		}
 	}
 }

@@ -121,16 +121,27 @@ func NewWindowedSummarizer(maxClusters, dims int, opts ...SummarizerOption) (*Wi
 // Observe folds one observation in, exactly as Summarizer.Observe, while
 // maintaining identity lineage.
 func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
-	if p.Dim() != w.dims {
-		return fmt.Errorf("cluster: observation dims %d, summarizer dims %d", p.Dim(), w.dims)
+	if err := checkObservation(p, weight, w.dims); err != nil {
+		return err
 	}
-	if !p.IsFinite() {
-		return fmt.Errorf("cluster: non-finite observation %v", p)
-	}
-	if weight < 0 {
-		return fmt.Errorf("cluster: negative weight %v", weight)
-	}
+	w.observe(p, weight)
+	return nil
+}
 
+// ObserveBatch is Summarizer.ObserveBatch with identity lineage: every
+// access is checked before any is folded.
+func (w *WindowedSummarizer) ObserveBatch(clients []int, pos []vec.Vec, weights []float64) error {
+	if err := checkBatch(clients, pos, weights, w.dims); err != nil {
+		return err
+	}
+	for i, c := range clients {
+		w.observe(pos[c], weightAt(weights, i))
+	}
+	return nil
+}
+
+// observe is Observe on an observation that passed checkObservation.
+func (w *WindowedSummarizer) observe(p vec.Vec, weight float64) {
 	if len(w.clusters) > 0 {
 		best, bestD2 := 0, math.Inf(1)
 		for i := range w.clusters {
@@ -144,7 +155,7 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 		}
 		if math.Sqrt(bestD2) <= radius {
 			w.clusters[best].Absorb(p, weight)
-			return nil
+			return
 		}
 	}
 
@@ -155,7 +166,6 @@ func (w *WindowedSummarizer) Observe(p vec.Vec, weight float64) error {
 	if len(w.clusters) > w.maxClusters {
 		w.mergeClosestPair()
 	}
-	return nil
 }
 
 func (w *WindowedSummarizer) mergeClosestPair() {

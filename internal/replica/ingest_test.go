@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/georep/georep/internal/cluster"
 	"github.com/georep/georep/internal/coord"
+	"github.com/georep/georep/internal/metrics"
 	"github.com/georep/georep/internal/vec"
 )
 
@@ -289,4 +291,74 @@ func TestShardedServerConcurrentRecordBatch(t *testing.T) {
 		}
 	}
 	_ = cluster.MergeDown(ms, 4) // exercised for coverage of the export type
+}
+
+// TestRecordBatchAtRejectsWholeBatch pins that a batch with one bad
+// access, placed last, is rejected whole in every ingest mode: the
+// summary, the server's access count and the manager's access counters
+// read exactly as before the call.
+func TestRecordBatchAtRejectsWholeBatch(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"decay", Config{}},
+		{"sharded", Config{IngestShards: 4}},
+		{"windowed", Config{WindowEpochs: 3}},
+	}
+	const n = 24
+	coords := make([]coord.Coordinate, n+2)
+	for i := 0; i < n; i++ {
+		coords[i] = coord.Coordinate{Pos: vec.Of(float64(i%6)*20, float64(i/6)*20), Height: 1}
+	}
+	// Two client nodes with unusable positions: not finite, and 3-D.
+	nan, threeD := n, n+1
+	coords[nan] = coord.Coordinate{Pos: vec.Of(math.NaN(), 0)}
+	coords[threeD] = coord.Coordinate{Pos: vec.Of(1, 2, 3)}
+	good := []int{4, 5, 6, 7, 8, 9, 10, 11, 4, 5}
+	bad := []struct {
+		name    string
+		clients []int
+		weights []float64
+	}{
+		{"client outside position table", append(append([]int(nil), good...), len(coords)), nil},
+		{"negative client", append(append([]int(nil), good...), -1), nil},
+		{"negative weight", good, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, -1}},
+		{"weight count", good, []float64{1, 1}},
+		{"non-finite position", append(append([]int(nil), good...), nan), nil},
+		{"wrong dimensionality", append([]int{threeD}, good...), nil},
+	}
+	for _, md := range modes {
+		t.Run(md.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			cfg := md.cfg
+			cfg.K, cfg.M, cfg.Dims, cfg.Metrics = 2, 8, 2, reg
+			mgr, err := NewManager(cfg, []int{0, 1, 2, 3}, coords, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := mgr.Replicas()[0]
+			if err := mgr.RecordBatchAt(rep, good, nil); err != nil {
+				t.Fatal(err)
+			}
+			srv := mgr.servers[rep]
+			snapshot := func() string {
+				ms, err := srv.Export()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%v accesses=%d counter=%d weight=%v", ms, srv.Accesses(),
+					reg.Counter("replica_accesses_total").Value(), reg.Gauge("replica_access_weight_total").Value())
+			}
+			want := snapshot()
+			for _, b := range bad {
+				if err := mgr.RecordBatchAt(rep, b.clients, b.weights); err == nil {
+					t.Fatalf("%s: batch accepted", b.name)
+				}
+				if got := snapshot(); got != want {
+					t.Fatalf("%s: rejected batch changed state:\n got %s\nwant %s", b.name, got, want)
+				}
+			}
+		})
+	}
 }

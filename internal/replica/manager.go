@@ -555,7 +555,10 @@ func (m *Manager) EndEpochDegraded(r *rand.Rand, reachable func(node int) bool) 
 // completes each epoch with a group-shared placement.
 func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, error) {
 	m.epoch++
-	root := m.cfg.Tracer.StartRoot(fmt.Sprintf("epoch %d", m.epoch), trace.KindEpoch)
+	// Span names are built without fmt: its printer pool drops entries
+	// under -race, which made the steady-state epoch's allocation count
+	// vary from run to run.
+	root := m.cfg.Tracer.StartRoot("epoch "+strconv.Itoa(m.epoch), trace.KindEpoch)
 	root.SetAttr("epoch", strconv.Itoa(m.epoch))
 	root.SetAttr("k", strconv.Itoa(m.k))
 
@@ -571,7 +574,7 @@ func (m *Manager) BeginEpoch(reachable func(node int) bool) (*PendingEpoch, erro
 	}
 	m.observedMs, m.observedAccesses = 0, 0
 	for _, rep := range m.replicas {
-		sp := m.cfg.Tracer.Start(root.Context(), fmt.Sprintf("collect %d", rep), trace.KindCollect)
+		sp := m.cfg.Tracer.Start(root.Context(), "collect "+strconv.Itoa(rep), trace.KindCollect)
 		sp.SetAttr("replica", strconv.Itoa(rep))
 		if reachable != nil && !reachable(rep) {
 			p.missing = append(p.missing, rep)
@@ -852,12 +855,30 @@ func (m *Manager) approveMigration(oldEst, newEst, demand float64, moved int) bo
 
 // applyPlacement migrates the replica set: servers at kept locations
 // retain their summaries, new locations start fresh, dropped locations
-// are discarded.
+// are discarded. A fresh decay-mode server is a dropped one reset for
+// its new node, which behaves exactly as a new one: a fleet moving
+// thousands of replicas an epoch would otherwise allocate a server and
+// summarizer for each.
 func (m *Manager) applyPlacement(newReps []int) error {
 	next := make(map[int]*Server, len(newReps))
 	for _, rep := range newReps {
 		if srv, ok := m.servers[rep]; ok {
 			next[rep] = srv
+		}
+	}
+	var dropped []*Server
+	for rep, srv := range m.servers {
+		if _, kept := next[rep]; !kept && srv.sum != nil {
+			dropped = append(dropped, srv)
+		}
+	}
+	for _, rep := range newReps {
+		if _, ok := next[rep]; ok {
+			continue
+		}
+		if n := len(dropped); n > 0 {
+			next[rep] = dropped[n-1].reset(rep)
+			dropped = dropped[:n-1]
 			continue
 		}
 		srv, err := m.cfg.newServer(rep)

@@ -74,6 +74,15 @@ func NewShardedServer(node, shards, m, dims int) (*Server, error) {
 	return &Server{node: node, shards: sh}, nil
 }
 
+// reset empties a decay-mode server and moves it to node, returning it.
+func (s *Server) reset(node int) *Server {
+	s.sum.Reset()
+	s.node = node
+	s.seq = 0
+	s.accesses.Store(0)
+	return s
+}
+
 // Node returns the data-center node hosting this replica.
 func (s *Server) Node() int { return s.node }
 
@@ -101,40 +110,24 @@ func (s *Server) Record(clientPos vec.Vec, weight float64) error {
 
 // RecordBatch folds a batch of accesses into the summary: clients[i]
 // accessed with weights[i], reading positions from pos[clients[i]]. A
-// nil weights slice means unit weights. On a sharded server this is the
-// lock-once-per-shard, allocation-free hot path; on decay and windowed
-// servers it degenerates to a loop over Record's summarizer, still
-// without allocating.
+// nil weights slice means unit weights. Every access is checked before
+// any is folded, so a rejected batch leaves the summary and the access
+// count untouched in every mode. On a sharded server this is the
+// lock-once-per-shard hot path; no mode allocates in steady state.
 func (s *Server) RecordBatch(clients []int, pos []vec.Vec, weights []float64) error {
-	if weights != nil && len(weights) != len(clients) {
-		return fmt.Errorf("replica: batch of %d clients with %d weights", len(clients), len(weights))
+	var err error
+	switch {
+	case s.win != nil:
+		err = s.win.ObserveBatch(clients, pos, weights)
+	case s.shards != nil:
+		err = s.shards.ObserveBatch(clients, pos, weights)
+	default:
+		err = s.sum.ObserveBatch(clients, pos, weights)
 	}
-	if s.shards != nil {
-		if err := s.shards.ObserveBatch(clients, pos, weights); err != nil {
-			return err
-		}
-		s.accesses.Add(int64(len(clients)))
-		return nil
+	if err != nil {
+		return err
 	}
-	for i, c := range clients {
-		if c < 0 || c >= len(pos) {
-			return fmt.Errorf("replica: client %d outside position table of %d", c, len(pos))
-		}
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		var err error
-		if s.win != nil {
-			err = s.win.Observe(pos[c], w)
-		} else {
-			err = s.sum.Observe(pos[c], w)
-		}
-		if err != nil {
-			return err
-		}
-		s.accesses.Add(1)
-	}
+	s.accesses.Add(int64(len(clients)))
 	return nil
 }
 
