@@ -32,6 +32,8 @@ import (
 // Protocol bodies. All requests that model a client read carry the
 // client's identity and coordinate: real deployments know both (the
 // coordinate system is decentralized, every node has its own coordinate).
+// Every message implements transport.Body with the binary layout in
+// body.go.
 type (
 	// GetRequest reads an object on behalf of a client.
 	GetRequest struct {
@@ -63,7 +65,8 @@ type (
 	MicrosRequest struct {
 		Object string
 	}
-	// MicrosResponse carries the gob-encoded micro-cluster summary.
+	// MicrosResponse carries the micro-cluster summary in the
+	// cluster.EncodeMicros wire form.
 	MicrosResponse struct {
 		Encoded []byte
 	}
@@ -296,7 +299,25 @@ type Node struct {
 	sloEng  *slo.Engine
 	sloStop chan struct{}
 	sloWG   sync.WaitGroup
-	repLag  *metrics.Histogram // follower lag served by replicate
+	met     nodeMetrics
+}
+
+// nodeMetrics are the handlers' metric handles, resolved once in NewNode
+// so the per-request path does no registry lookups. The write-log
+// handles stay nil (no-ops) unless the write log is on.
+type nodeMetrics struct {
+	summarizedAccesses *metrics.Counter
+	summarizedWeight   *metrics.Gauge
+	summaryBytesTotal  *metrics.Counter
+	summaryBytes       *metrics.Histogram
+
+	appends            *metrics.Counter
+	logBytes           *metrics.Counter
+	compactions        *metrics.Counter
+	lastSeq            *metrics.Gauge
+	replicateBytes     *metrics.Counter
+	replicateSnapshots *metrics.Counter
+	repLag             *metrics.Histogram // follower lag served by replicate
 }
 
 // objSummary is one object's dedicated summarizer, created lazily on
@@ -330,6 +351,12 @@ func NewNode(cfg Config) (*Node, error) {
 		store: store.New(),
 		reg:   reg,
 		log:   logging.Or(cfg.Logger),
+		met: nodeMetrics{
+			summarizedAccesses: reg.Counter("daemon_summarized_accesses_total"),
+			summarizedWeight:   reg.Gauge("daemon_summarized_weight_total"),
+			summaryBytesTotal:  reg.Counter("daemon_summary_bytes_total"),
+			summaryBytes:       reg.Histogram("daemon_summary_bytes", metrics.SizeBuckets()),
+		},
 	}
 	srvOpts := []transport.ServerOption{transport.WithMetrics(reg)}
 	if cfg.Faults != nil {
@@ -369,19 +396,23 @@ func NewNode(cfg Config) (*Node, error) {
 		// Pre-register the whole replog family at zero so /metrics,
 		// /metrics.json, and Prometheus scrapes expose consistent
 		// series from the first scrape — not only after the first
-		// append/fence/failover event happens to create them.
+		// append/fence/failover event happens to create them. The
+		// series this node updates are registered with their handles.
 		for _, c := range []string{
-			"replog_appends_total", "replog_log_bytes_total",
-			"replog_compactions_total", "replog_replicate_bytes_total",
-			"replog_replicate_snapshots_total", "replog_reads_total",
+			"replog_reads_total",
 			"replog_appends_fenced_total", "replog_failovers_total",
 			"replog_ryw_violations_total", "replog_monotonic_violations_total",
 			"replog_stale_reads_degraded_total",
 		} {
 			reg.Counter(c)
 		}
-		reg.Gauge("replog_last_seq")
-		n.repLag = reg.Histogram("replog_replication_lag_entries",
+		n.met.appends = reg.Counter("replog_appends_total")
+		n.met.logBytes = reg.Counter("replog_log_bytes_total")
+		n.met.compactions = reg.Counter("replog_compactions_total")
+		n.met.lastSeq = reg.Gauge("replog_last_seq")
+		n.met.replicateBytes = reg.Counter("replog_replicate_bytes_total")
+		n.met.replicateSnapshots = reg.Counter("replog_replicate_snapshots_total")
+		n.met.repLag = reg.Histogram("replog_replication_lag_entries",
 			[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	}
 	if cfg.SLOSpec != "" {
@@ -456,14 +487,14 @@ func (n *Node) Snapshot() metrics.Snapshot { return n.reg.Snapshot() }
 func (n *Node) Store() *store.Store { return n.store }
 
 func (n *Node) registerHandlers() error {
-	handlers := map[string]transport.Handler{
+	handlers := map[string]transport.BodyHandler{
 		MethodGet:       n.handleGet,
 		MethodPut:       n.handlePut,
 		MethodDelete:    n.handleDelete,
 		MethodMicros:    n.handleMicros,
 		MethodDecay:     n.handleDecay,
 		MethodStats:     n.handleStats,
-		MethodPing:      func([]byte) ([]byte, error) { return nil, nil },
+		MethodPing:      func([]byte) (transport.BodyAppender, error) { return nil, nil },
 		MethodCoord:     n.handleCoord,
 		MethodList:      n.handleList,
 		MethodMetrics:   n.handleMetrics,
@@ -473,7 +504,7 @@ func (n *Node) registerHandlers() error {
 		MethodExplain:   n.handleExplain,
 	}
 	for name, h := range handlers {
-		if err := n.server.Handle(name, n.instrument(name, h)); err != nil {
+		if err := n.server.HandleBody(name, n.instrument(name, h)); err != nil {
 			return err
 		}
 	}
@@ -483,13 +514,13 @@ func (n *Node) registerHandlers() error {
 // instrument wraps a handler with per-method counters and a latency
 // histogram (inclusive of any emulated WAN delay — the latency a client
 // of this method actually experiences server-side).
-func (n *Node) instrument(method string, h transport.Handler) transport.Handler {
+func (n *Node) instrument(method string, h transport.BodyHandler) transport.BodyHandler {
 	reqs := n.reg.Counter("daemon_rpc_" + method + "_total")
 	errs := n.reg.Counter("daemon_rpc_" + method + "_errors_total")
 	lat := n.reg.Histogram("daemon_rpc_"+method+"_ms", metrics.LatencyBuckets())
 	total := n.reg.Counter("daemon_rpc_total")
 	totalErrs := n.reg.Counter("daemon_rpc_errors_total")
-	return func(body []byte) ([]byte, error) {
+	return func(body []byte) (transport.BodyAppender, error) {
 		start := time.Now()
 		out, err := h(body)
 		lat.Observe(float64(time.Since(start)) / float64(time.Millisecond))
@@ -517,15 +548,15 @@ func (n *Node) faultAction(method string) transport.FaultAction {
 	}
 }
 
-func (n *Node) handleMetrics([]byte) ([]byte, error) {
+func (n *Node) handleMetrics([]byte) (transport.BodyAppender, error) {
 	b, err := metrics.MarshalSnapshot(n.reg.Snapshot())
 	if err != nil {
 		return nil, err
 	}
-	return transport.Marshal(MetricsResponse{JSON: b})
+	return MetricsResponse{JSON: b}, nil
 }
 
-func (n *Node) handleSLO([]byte) ([]byte, error) {
+func (n *Node) handleSLO([]byte) (transport.BodyAppender, error) {
 	if n.sloEng == nil {
 		return nil, fmt.Errorf("daemon: slo engine disabled (start with -slo)")
 	}
@@ -533,25 +564,25 @@ func (n *Node) handleSLO([]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return transport.Marshal(SLOResponse{JSON: b})
+	return SLOResponse{JSON: b}, nil
 }
 
-func (n *Node) handleExplain(body []byte) ([]byte, error) {
+func (n *Node) handleExplain(body []byte) (transport.BodyAppender, error) {
 	if n.cfg.ExplainJSON == nil {
 		return nil, fmt.Errorf("daemon: no decision ledger attached (start with -ledger-dir)")
 	}
 	var req ExplainRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	b, err := n.cfg.ExplainJSON(req.Epoch, req.ObjectID)
 	if err != nil {
 		return nil, err
 	}
-	return transport.Marshal(ExplainResponse{JSON: b})
+	return ExplainResponse{JSON: b}, nil
 }
 
-func (n *Node) handleTrace([]byte) ([]byte, error) {
+func (n *Node) handleTrace([]byte) (transport.BodyAppender, error) {
 	traces := n.cfg.Trace.Traces()
 	if traces == nil {
 		traces = []trace.Trace{}
@@ -560,7 +591,7 @@ func (n *Node) handleTrace([]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return transport.Marshal(TraceResponse{JSON: b})
+	return TraceResponse{JSON: b}, nil
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in a background
@@ -621,9 +652,9 @@ func (n *Node) Close() error {
 	return n.server.Close()
 }
 
-func (n *Node) handleGet(body []byte) ([]byte, error) {
+func (n *Node) handleGet(body []byte) (transport.BodyAppender, error) {
 	var req GetRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	if n.cfg.Delay != nil {
@@ -669,15 +700,15 @@ func (n *Node) handleGet(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.reg.Counter("daemon_summarized_accesses_total").Inc()
-		n.reg.Gauge("daemon_summarized_weight_total").Add(weight)
+		n.met.summarizedAccesses.Inc()
+		n.met.summarizedWeight.Add(weight)
 	}
-	return transport.Marshal(GetResponse{Data: obj.Data, Version: obj.Version})
+	return GetResponse{Data: obj.Data, Version: obj.Version}, nil
 }
 
-func (n *Node) handlePut(body []byte) ([]byte, error) {
+func (n *Node) handlePut(body []byte) (transport.BodyAppender, error) {
 	var req PutRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	err := n.store.Put(store.Object{
@@ -725,11 +756,11 @@ func (n *Node) appendWrite(req PutRequest) error {
 	}
 	last := n.wlog.Last()
 	n.mu.Unlock()
-	n.reg.Counter("replog_appends_total").Inc()
-	n.reg.Counter("replog_log_bytes_total").Add(replog.FrameLen)
-	n.reg.Gauge("replog_last_seq").Set(float64(last))
+	n.met.appends.Inc()
+	n.met.logBytes.Add(replog.FrameLen)
+	n.met.lastSeq.Set(float64(last))
 	if compacted {
-		n.reg.Counter("replog_compactions_total").Inc()
+		n.met.compactions.Inc()
 	}
 	return nil
 }
@@ -751,13 +782,13 @@ func objHash(object string) int32 {
 // handleReplicate serves the framed write-log tail past the caller's
 // applied position, or a snapshot redirect when that position is
 // already compacted away.
-func (n *Node) handleReplicate(body []byte) ([]byte, error) {
+func (n *Node) handleReplicate(body []byte) (transport.BodyAppender, error) {
 	if n.wlog == nil {
 		return nil, fmt.Errorf("daemon: write log disabled (start with -write-ratio > 0)")
 	}
 	var req ReplicateRequest
 	if len(body) > 0 {
-		if err := transport.Unmarshal(body, &req); err != nil {
+		if err := req.DecodeBody(body); err != nil {
 			return nil, err
 		}
 	}
@@ -782,29 +813,29 @@ func (n *Node) handleReplicate(body []byte) ([]byte, error) {
 	// is the replication lag this catch-up call observed — the live
 	// counterpart of the simulator's per-round lag sampling.
 	if resp.Last >= req.From {
-		n.repLag.Observe(float64(resp.Last - req.From))
+		n.met.repLag.Observe(float64(resp.Last - req.From))
 	}
-	n.reg.Counter("replog_replicate_bytes_total").Add(int64(len(resp.Frames)))
+	n.met.replicateBytes.Add(int64(len(resp.Frames)))
 	if resp.Snapshot {
-		n.reg.Counter("replog_replicate_snapshots_total").Inc()
+		n.met.replicateSnapshots.Inc()
 	}
-	return transport.Marshal(resp)
+	return resp, nil
 }
 
-func (n *Node) handleDelete(body []byte) ([]byte, error) {
+func (n *Node) handleDelete(body []byte) (transport.BodyAppender, error) {
 	var req DeleteRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	n.store.Delete(store.ObjectID(req.Object))
 	return nil, nil
 }
 
-func (n *Node) handleMicros(body []byte) ([]byte, error) {
+func (n *Node) handleMicros(body []byte) (transport.BodyAppender, error) {
 	// An empty body is the v1 protocol: export the node-wide summary.
 	var req MicrosRequest
 	if len(body) > 0 {
-		if err := transport.Unmarshal(body, &req); err != nil {
+		if err := req.DecodeBody(body); err != nil {
 			return nil, err
 		}
 	}
@@ -842,14 +873,14 @@ func (n *Node) handleMicros(body []byte) ([]byte, error) {
 	// The exported summary is the online algorithm's entire bandwidth
 	// cost; its cumulative wire size is the paper's O(k·m) claim made
 	// observable.
-	n.reg.Counter("daemon_summary_bytes_total").Add(int64(len(enc)))
-	n.reg.Histogram("daemon_summary_bytes", metrics.SizeBuckets()).Observe(float64(len(enc)))
-	return transport.Marshal(MicrosResponse{Encoded: enc})
+	n.met.summaryBytesTotal.Add(int64(len(enc)))
+	n.met.summaryBytes.Observe(float64(len(enc)))
+	return MicrosResponse{Encoded: enc}, nil
 }
 
-func (n *Node) handleDecay(body []byte) ([]byte, error) {
+func (n *Node) handleDecay(body []byte) (transport.BodyAppender, error) {
 	var req DecayRequest
-	if err := transport.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeBody(body); err != nil {
 		return nil, err
 	}
 	// Epoch decay is fleet-wide: the node-wide summary and every
@@ -881,31 +912,27 @@ func (n *Node) handleDecay(body []byte) ([]byte, error) {
 	return nil, n.sum.Decay(req.Factor)
 }
 
-func (n *Node) handleCoord([]byte) ([]byte, error) {
-	return transport.Marshal(CoordResponse{
-		Node:   n.cfg.ID,
-		Pos:    append([]float64(nil), n.cfg.Coordinate...),
-		Height: n.cfg.Height,
-	})
+func (n *Node) handleCoord([]byte) (transport.BodyAppender, error) {
+	return CoordResponse{Node: n.cfg.ID, Pos: n.cfg.Coordinate, Height: n.cfg.Height}, nil
 }
 
-func (n *Node) handleList([]byte) ([]byte, error) {
+func (n *Node) handleList([]byte) (transport.BodyAppender, error) {
 	keys := n.store.Keys()
 	objs := make([]string, len(keys))
 	for i, k := range keys {
 		objs[i] = string(k)
 	}
-	return transport.Marshal(ListResponse{Objects: objs})
+	return ListResponse{Objects: objs}, nil
 }
 
-func (n *Node) handleStats([]byte) ([]byte, error) {
+func (n *Node) handleStats([]byte) (transport.BodyAppender, error) {
 	n.mu.Lock()
 	accesses := n.accesses
 	n.mu.Unlock()
-	return transport.Marshal(StatsResponse{
+	return StatsResponse{
 		Node:     n.cfg.ID,
 		Objects:  n.store.Len(),
 		Bytes:    n.store.TotalBytes(),
 		Accesses: accesses,
-	})
+	}, nil
 }

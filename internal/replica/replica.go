@@ -152,8 +152,9 @@ func (s *Server) ExportInto(dst []cluster.Micro) ([]cluster.Micro, error) {
 	return s.sum.ClustersInto(dst), nil
 }
 
-// ExportEncoded returns the gob wire form of the summary, whose length is
-// the per-epoch bandwidth cost of the online approach.
+// ExportEncoded returns the summary in its cluster.EncodeMicros wire
+// form, whose length is the per-epoch bandwidth cost of the online
+// approach.
 func (s *Server) ExportEncoded() ([]byte, error) {
 	ms, err := s.Export()
 	if err != nil {

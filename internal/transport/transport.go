@@ -1,10 +1,16 @@
-// Package transport is a minimal stdlib-only RPC layer (TCP + gob) so the
+// Package transport is a minimal stdlib-only RPC layer so the
 // replica-placement system also runs as real networked processes, not
 // only inside the discrete-event simulator. Servers can inject artificial
 // per-request delays, which lets the examples reproduce wide-area RTTs
 // between processes on one machine; clients measure the observed RTT of
 // every call, which is exactly the measurement stream the coordinate
 // system consumes.
+//
+// Each connection carries one persistent gob stream of request/response
+// frames, so type descriptors cross once per connection. A frame's body
+// is the message's own binary encoding when the message implements Body
+// (every daemon protocol message does), and a nested gob stream
+// otherwise.
 package transport
 
 import (
@@ -16,6 +22,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,7 +30,8 @@ import (
 	"github.com/georep/georep/internal/trace"
 )
 
-// request and response are the wire frames; bodies are nested gob.
+// request and response are the wire frames; bodies are Body encodings
+// or nested gob (see Body).
 //
 // The trace fields are optional W3C-style span propagation: TraceID is
 // the 16-byte hex trace, SpanID the caller-side span the server should
@@ -52,16 +60,25 @@ type response struct {
 }
 
 // Handler serves one method: raw request body in, raw response body out.
+// The request body is valid only until the handler returns; the server
+// reuses its buffer for the next request on the connection.
 type Handler func(body []byte) ([]byte, error)
 
-// Marshal gob-encodes a value for use as a request or response body.
+// BodyHandler serves one method whose reply is a message: the server
+// appends the returned value's body into a per-connection buffer
+// instead of allocating a fresh one per call. A nil reply sends an
+// empty body. The request body has the same lifetime as for Handler.
+type BodyHandler func(body []byte) (BodyAppender, error)
+
+// Marshal encodes a value for use as a request or response body: its
+// own binary body when it implements BodyAppender, gob otherwise.
 func Marshal(v any) ([]byte, error) {
-	return gobEncode(v)
+	return appendBody(nil, v)
 }
 
-// Unmarshal gob-decodes a body produced by Marshal.
+// Unmarshal decodes a body produced by Marshal into v.
 func Unmarshal(b []byte, v any) error {
-	return gobDecode(b, v)
+	return decodeBody(b, v)
 }
 
 // ErrServerClosed is returned by Serve after Close.
@@ -160,7 +177,7 @@ func WithServerLogger(log *slog.Logger) ServerOption { return serverLoggerOption
 // connection is served by one goroutine, requests on it in order.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]BodyHandler
 	delay    DelayFunc
 	faults   ServerFaultFunc
 	met      serverMetrics
@@ -175,7 +192,7 @@ type Server struct {
 // NewServer returns a server with no handlers registered.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]BodyHandler),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
@@ -187,6 +204,21 @@ func NewServer(opts ...ServerOption) *Server {
 // Handle registers a method handler. Registering after Serve started is
 // allowed; re-registering a name replaces the handler.
 func (s *Server) Handle(method string, h Handler) error {
+	if h == nil {
+		return errors.New("transport: nil handler")
+	}
+	return s.HandleBody(method, func(body []byte) (BodyAppender, error) {
+		out, err := h(body)
+		if err != nil {
+			return nil, err
+		}
+		return rawBody(out), nil
+	})
+}
+
+// HandleBody registers a handler whose reply is a message; see
+// BodyHandler. Registration rules are those of Handle.
+func (s *Server) HandleBody(method string, h BodyHandler) error {
 	if method == "" {
 		return errors.New("transport: empty method name")
 	}
@@ -265,15 +297,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
+	// The request frame and the reply body buffer are reused across the
+	// connection's requests; gob decodes into Body's spare capacity.
+	var req request
+	var out []byte
 	for {
-		var req request
+		// gob leaves fields absent from the stream untouched, so every
+		// field but the reusable body must be reset.
+		req = request{Body: req.Body[:0]}
 		if err := dec.Decode(&req); err != nil {
 			return // connection closed or corrupt; drop it
 		}
 		// A traced frame opens a server span parented under the caller's
 		// wire span; an untraced frame (old peer, tracing off) does not.
-		sp := s.tracer.Start(trace.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID},
-			"serve."+req.Method, trace.KindServer)
+		// The span name is built only for a frame that will be traced.
+		var sp *trace.ActiveSpan
+		if parent := (trace.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID}); s.tracer != nil && parent.Valid() {
+			sp = s.tracer.Start(parent, "serve."+req.Method, trace.KindServer)
+		}
 		if s.faults != nil {
 			switch act := s.faults(req.Method); {
 			case act.Drop:
@@ -312,10 +353,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.log != nil {
 				s.log.Warn("unknown method", "method", req.Method)
 			}
-		} else if body, err := h(req.Body); err != nil {
+		} else if reply, err := h(req.Body); err != nil {
 			resp.Err = err.Error()
-		} else {
-			resp.Body = body
+		} else if reply != nil {
+			out = reply.AppendBody(out[:0])
+			resp.Body = out
 		}
 		s.met.handleMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		if resp.Err != "" {
@@ -388,12 +430,18 @@ type Client struct {
 	sleep func(time.Duration)
 	rng   *rand.Rand
 
-	// mu serializes calls and guards the retry/breaker state.
+	// mu serializes calls and guards the retry/breaker state and the
+	// reused buffers below.
 	mu          sync.Mutex
 	nextID      uint64
 	retriesLeft int // remaining retry budget; -1 = unlimited
 	consecFails int
 	openUntil   time.Time
+
+	// out and in are the request body and the response frame, reused
+	// across calls; each keeps the capacity of the largest body seen.
+	out []byte
+	in  response
 
 	// connMu guards the connection so Close never has to wait for an
 	// in-flight call: closing the conn unblocks any pending I/O.
@@ -550,9 +598,9 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Message)
 }
 
-// Call invokes a method: req is gob-encoded, resp (if non-nil) decoded
-// from the reply. It returns the measured round-trip time, the signal the
-// coordinate system feeds on. With a retry policy installed, the RTT is
+// Call invokes a method: req is encoded (see Body), resp (if non-nil)
+// decoded from the reply. It returns the measured round-trip time, the
+// signal the coordinate system feeds on. With a retry policy installed, the RTT is
 // that of the successful (or final) attempt. Call is never traced; use
 // CallContext with a span-carrying context to propagate a trace.
 func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
@@ -568,19 +616,26 @@ func (c *Client) Call(method string, req, resp any) (time.Duration, error) {
 // deadlines already bound every call (see WithCallTimeout).
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) (time.Duration, error) {
 	c.met.calls.Inc()
-	encStart := time.Now()
-	body, err := gobEncode(req)
-	if err != nil {
-		c.met.errors.Inc()
-		return 0, fmt.Errorf("transport: encode %s request: %w", method, err)
+	// Span names are built only for a call that will be traced.
+	var span *trace.ActiveSpan
+	if parent := trace.FromContext(ctx); c.tracer != nil && parent.Valid() {
+		span = c.tracer.Start(parent, "rpc."+method, trace.KindClient)
 	}
-	c.met.encodeMs.Observe(float64(time.Since(encStart)) / float64(time.Millisecond))
-
-	span := c.tracer.Start(trace.FromContext(ctx), "rpc."+method, trace.KindClient)
 	span.SetAttr("target", c.addr)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	encStart := time.Now()
+	body, err := appendBody(c.out[:0], req)
+	if err != nil {
+		c.met.errors.Inc()
+		err = fmt.Errorf("transport: encode %s request: %w", method, err)
+		span.SetErr(err)
+		span.End()
+		return 0, err
+	}
+	c.out = body
+	c.met.encodeMs.Observe(float64(time.Since(encStart)) / float64(time.Millisecond))
 	maxAttempts := c.retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -598,7 +653,10 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 			span.End()
 			return 0, err
 		}
-		att := c.tracer.Start(span.Context(), fmt.Sprintf("attempt %d", attempt), trace.KindAttempt)
+		var att *trace.ActiveSpan
+		if span != nil {
+			att = c.tracer.Start(span.Context(), "attempt "+strconv.Itoa(attempt), trace.KindAttempt)
+		}
 		rtt, err := c.attempt(method, body, resp, att.Context(), span.Context().SpanID)
 		att.SetErr(err)
 		att.End()
@@ -680,8 +738,11 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 			return 0, c.breakConn(fmt.Errorf("transport: deadline %s: %w", method, err))
 		}
 	}
-	var r response
-	if err := dec.Decode(&r); err != nil {
+	// Reuse the response frame and its body buffer; reset every other
+	// field, since gob leaves fields absent from the stream untouched.
+	c.in = response{Body: c.in.Body[:0]}
+	r := &c.in
+	if err := dec.Decode(r); err != nil {
 		return 0, c.breakConn(fmt.Errorf("transport: receive %s: %w", method, err))
 	}
 	if c.callTimeout > 0 {
@@ -699,7 +760,7 @@ func (c *Client) attempt(method string, body []byte, resp any, wire trace.SpanCo
 	}
 	if resp != nil {
 		decStart := time.Now()
-		if err := gobDecode(r.Body, resp); err != nil {
+		if err := decodeBody(r.Body, resp); err != nil {
 			return rtt, fmt.Errorf("transport: decode %s response: %w", method, err)
 		}
 		c.met.decodeMs.Observe(float64(time.Since(decStart)) / float64(time.Millisecond))
